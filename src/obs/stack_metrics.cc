@@ -3,6 +3,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "util/arena.h"
 #include "util/thread_pool.h"
@@ -25,27 +26,29 @@ LinearBuckets RenderSecondsBuckets() { return LinearBuckets(0.0, 0.5, 50); }
 LinearBuckets FanoutBuckets() { return LinearBuckets(0.0, 64.0, 64); }
 LinearBuckets TaskSecondsBuckets() { return LinearBuckets(0.0, 0.25, 50); }
 
-/// Per-algorithm handle cache. The structs (and the cache itself) are
-/// reachable from the static, so LeakSanitizer is content, and handles
-/// stay valid through static teardown.
+/// Handle cache for a family with one label (`key`, e.g. "algorithm",
+/// "lane", "rung"). The handles (and the cache itself) are reachable
+/// from the static, so LeakSanitizer is content, and handles stay
+/// valid through static teardown.
 template <typename Metrics>
 class LabeledFamily {
  public:
   using Factory = Metrics* (*)(const LabelSet& labels);
 
-  explicit LabeledFamily(Factory factory) : factory_(factory) {}
+  LabeledFamily(std::string key, Factory factory)
+      : key_(std::move(key)), factory_(factory) {}
 
-  const Metrics& For(std::string_view algorithm) {
+  Metrics& For(std::string_view value) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(algorithm);
+    auto it = cache_.find(value);
     if (it != cache_.end()) return *it->second;
-    Metrics* metrics =
-        factory_(LabelSet{{"algorithm", std::string(algorithm)}});
-    cache_.emplace(std::string(algorithm), metrics);
+    Metrics* metrics = factory_(LabelSet{{key_, std::string(value)}});
+    cache_.emplace(std::string(value), metrics);
     return *metrics;
   }
 
  private:
+  std::string key_;
   Factory factory_;
   std::mutex mu_;
   std::map<std::string, Metrics*, std::less<>> cache_;
@@ -55,43 +58,46 @@ class LabeledFamily {
 
 const SolverMetrics& SolverMetricsFor(std::string_view algorithm) {
   static LabeledFamily<SolverMetrics>* const family =
-      new LabeledFamily<SolverMetrics>(+[](const LabelSet& labels) {
-        MetricsRegistry& reg = MetricsRegistry::Global();
-        return new SolverMetrics{
-            &reg.MustCounter("mqd_solver_solve_total", labels),
-            &reg.MustCounter("mqd_solver_solve_errors_total", labels),
-            &reg.MustHistogram("mqd_solver_solve_seconds",
-                               SolveSecondsBuckets(), labels),
-            &reg.MustHistogram("mqd_solver_cover_size", CoverSizeBuckets(),
-                               labels),
-            &reg.MustHistogram("mqd_solver_instance_posts",
-                               InstancePostsBuckets(), labels),
-            &reg.MustGauge("mqd_solver_last_lambda", labels),
-            &reg.MustCounter("mqd_solver_gain_fastpath_total", labels),
-            &reg.MustCounter("mqd_solver_gain_exact_total", labels),
-        };
-      });
+      new LabeledFamily<SolverMetrics>(
+          "algorithm", +[](const LabelSet& labels) {
+            MetricsRegistry& reg = MetricsRegistry::Global();
+            return new SolverMetrics{
+                &reg.MustCounter("mqd_solver_solve_total", labels),
+                &reg.MustCounter("mqd_solver_solve_errors_total", labels),
+                &reg.MustHistogram("mqd_solver_solve_seconds",
+                                   SolveSecondsBuckets(), labels),
+                &reg.MustHistogram("mqd_solver_cover_size", CoverSizeBuckets(),
+                                   labels),
+                &reg.MustHistogram("mqd_solver_instance_posts",
+                                   InstancePostsBuckets(), labels),
+                &reg.MustGauge("mqd_solver_last_lambda", labels),
+                &reg.MustCounter("mqd_solver_gain_fastpath_total", labels),
+                &reg.MustCounter("mqd_solver_gain_exact_total", labels),
+            };
+          });
   return family->For(algorithm);
 }
 
 const StreamMetrics& StreamMetricsFor(std::string_view algorithm) {
   static LabeledFamily<StreamMetrics>* const family =
-      new LabeledFamily<StreamMetrics>(+[](const LabelSet& labels) {
-        MetricsRegistry& reg = MetricsRegistry::Global();
-        return new StreamMetrics{
-            &reg.MustCounter("mqd_stream_replays_total", labels),
-            &reg.MustCounter("mqd_stream_posts_total", labels),
-            &reg.MustCounter("mqd_stream_emissions_total", labels),
-            &reg.MustCounter("mqd_stream_tau_violations_total", labels),
-            &reg.MustHistogram("mqd_stream_report_delay_seconds",
-                               DelaySecondsBuckets(), labels),
-            &reg.MustHistogram("mqd_stream_replay_seconds",
-                               ReplaySecondsBuckets(), labels),
-            &reg.MustCounter("mqd_stream_deadline_heap_ops_total", labels),
-            &reg.MustCounter("mqd_stream_prune_fastpath_total", labels),
-            &reg.MustCounter("mqd_stream_nonmonotone_dropped_total", labels),
-        };
-      });
+      new LabeledFamily<StreamMetrics>(
+          "algorithm", +[](const LabelSet& labels) {
+            MetricsRegistry& reg = MetricsRegistry::Global();
+            return new StreamMetrics{
+                &reg.MustCounter("mqd_stream_replays_total", labels),
+                &reg.MustCounter("mqd_stream_posts_total", labels),
+                &reg.MustCounter("mqd_stream_emissions_total", labels),
+                &reg.MustCounter("mqd_stream_tau_violations_total", labels),
+                &reg.MustHistogram("mqd_stream_report_delay_seconds",
+                                   DelaySecondsBuckets(), labels),
+                &reg.MustHistogram("mqd_stream_replay_seconds",
+                                   ReplaySecondsBuckets(), labels),
+                &reg.MustCounter("mqd_stream_deadline_heap_ops_total", labels),
+                &reg.MustCounter("mqd_stream_prune_fastpath_total", labels),
+                &reg.MustCounter("mqd_stream_nonmonotone_dropped_total",
+                                 labels),
+            };
+          });
   return family->For(algorithm);
 }
 
@@ -109,8 +115,6 @@ const PipelineMetrics& GetPipelineMetrics() {
                            DigestSecondsBuckets()),
         &reg.MustHistogram("mqd_pipeline_render_seconds",
                            RenderSecondsBuckets()),
-        &reg.MustCounter("mqd_pipeline_online_pushes_total"),
-        &reg.MustCounter("mqd_pipeline_online_emissions_total"),
     };
   }();
   return *metrics;
@@ -209,49 +213,32 @@ const TenantMetrics& GetTenantMetrics() {
 
 const ServeLaneMetrics& ServeLaneMetricsFor(std::string_view lane) {
   static LabeledFamily<ServeLaneMetrics>* const family =
-      new LabeledFamily<ServeLaneMetrics>(+[](const LabelSet& labels) {
-        // LabeledFamily labels with "algorithm"; rebrand as "lane".
-        LabelSet lane_labels;
-        for (const auto& [key, value] : labels) {
-          lane_labels.emplace_back(key == "algorithm" ? "lane" : key, value);
-        }
-        MetricsRegistry& reg = MetricsRegistry::Global();
-        return new ServeLaneMetrics{
-            &reg.MustCounter("mqd_serve_requests_total", lane_labels),
-            &reg.MustCounter("mqd_serve_admitted_total", lane_labels),
-            &reg.MustCounter("mqd_serve_shed_total", lane_labels),
-            &reg.MustCounter("mqd_serve_completed_total", lane_labels),
-            &reg.MustCounter("mqd_serve_errors_total", lane_labels),
-            &reg.MustGauge("mqd_serve_queue_depth", lane_labels),
-            // Serving latencies live well below a second when healthy;
-            // the saturating top bucket still counts the overloaded tail.
-            &reg.MustHistogram("mqd_serve_latency_seconds",
-                               LinearBuckets(0.0, 0.5, 50), lane_labels),
-        };
-      });
+      new LabeledFamily<ServeLaneMetrics>(
+          "lane", +[](const LabelSet& labels) {
+            MetricsRegistry& reg = MetricsRegistry::Global();
+            return new ServeLaneMetrics{
+                &reg.MustCounter("mqd_serve_requests_total", labels),
+                &reg.MustCounter("mqd_serve_admitted_total", labels),
+                &reg.MustCounter("mqd_serve_shed_total", labels),
+                &reg.MustCounter("mqd_serve_completed_total", labels),
+                &reg.MustCounter("mqd_serve_errors_total", labels),
+                &reg.MustGauge("mqd_serve_queue_depth", labels),
+                // Serving latencies live well below a second when healthy;
+                // the saturating top bucket still counts the overloaded tail.
+                &reg.MustHistogram("mqd_serve_latency_seconds",
+                                   LinearBuckets(0.0, 0.5, 50), labels),
+            };
+          });
   return family->For(lane);
 }
 
-namespace {
-
-/// rung -> Counter cache for mqd_serve_pre_degraded_total{rung}.
-struct PreDegradedCounter {
-  Counter* counter;
-};
-
-}  // namespace
-
 Counter& ServePreDegradedFor(std::string_view rung) {
-  static LabeledFamily<PreDegradedCounter>* const family =
-      new LabeledFamily<PreDegradedCounter>(+[](const LabelSet& labels) {
-        LabelSet rung_labels;
-        for (const auto& [key, value] : labels) {
-          rung_labels.emplace_back(key == "algorithm" ? "rung" : key, value);
-        }
-        return new PreDegradedCounter{&MetricsRegistry::Global().MustCounter(
-            "mqd_serve_pre_degraded_total", rung_labels)};
+  static LabeledFamily<Counter>* const family =
+      new LabeledFamily<Counter>("rung", +[](const LabelSet& labels) {
+        return &MetricsRegistry::Global().MustCounter(
+            "mqd_serve_pre_degraded_total", labels);
       });
-  return *family->For(rung).counter;
+  return family->For(rung);
 }
 
 const ServeMetrics& GetServeMetrics() {
@@ -267,27 +254,13 @@ const ServeMetrics& GetServeMetrics() {
   return *metrics;
 }
 
-namespace {
-
-/// rung -> Counter cache for mqd_robust_degraded_total{rung}.
-struct DegradedCounter {
-  Counter* counter;
-};
-
-}  // namespace
-
 Counter& DegradedTotalFor(std::string_view rung) {
-  static LabeledFamily<DegradedCounter>* const family =
-      new LabeledFamily<DegradedCounter>(+[](const LabelSet& labels) {
-        // LabeledFamily labels with "algorithm"; rebrand as "rung".
-        LabelSet rung_labels;
-        for (const auto& [key, value] : labels) {
-          rung_labels.emplace_back(key == "algorithm" ? "rung" : key, value);
-        }
-        return new DegradedCounter{&MetricsRegistry::Global().MustCounter(
-            "mqd_robust_degraded_total", rung_labels)};
+  static LabeledFamily<Counter>* const family =
+      new LabeledFamily<Counter>("rung", +[](const LabelSet& labels) {
+        return &MetricsRegistry::Global().MustCounter(
+            "mqd_robust_degraded_total", labels);
       });
-  return *family->For(rung).counter;
+  return family->For(rung);
 }
 
 namespace {

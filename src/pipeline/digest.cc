@@ -102,7 +102,8 @@ std::string DigestRenderer::Render(
     }
   }
 
-  out += "\n" + RenderTimeline(inst, selection);
+  out += '\n';
+  out += RenderTimeline(inst, selection);
   out += StrFormat(
       "mean distance to representative: %s; label-mix deviation (L1): "
       "%s\n",

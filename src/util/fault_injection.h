@@ -35,7 +35,7 @@ struct FaultSpec {
 /// branch; nothing else in the process changes, so production binaries
 /// carry the sites for free.
 ///
-/// Built-in sites: io.read_instance, index.load, stream.replay,
+/// Built-in sites: io.read_instance, stream.replay,
 /// pool.task, io.write_checkpoint (probed between the flushed tmp
 /// write and the rename in WriteStreamCheckpointToFile; a fire models
 /// a torn write — the previous on-disk snapshot survives), the

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/io.h"
-#include "index/query_parser.h"
 #include "sentiment/scorer.h"
 #include "simhash/simhash.h"
 #include "text/tokenizer.h"
@@ -43,24 +42,6 @@ TEST(FuzzTest, TokenizerNeverEmitsInvalidTokens) {
                     (ch >= '0' && ch <= '9') || ch == '_')
             << "token '" << token << "' from input '" << input << "'";
       }
-    }
-  }
-}
-
-TEST(FuzzTest, QueryParserNeverCrashes) {
-  Rng rng(2);
-  InvertedIndex index;
-  ASSERT_TRUE(index.AddDocument(1, 1.0, "obama senate economy").ok());
-  for (int i = 0; i < 3000; ++i) {
-    const std::string query = RandomString(&rng, 60);
-    auto parsed = ParseQuery(query);
-    if (parsed.ok()) {
-      // Whatever parsed must evaluate without issue.
-      auto docs = EvaluateQuery(index, **parsed);
-      ASSERT_LE(docs.size(), index.num_documents());
-      // And canonical form re-parses to something evaluable.
-      auto reparsed = ParseQuery((*parsed)->ToString());
-      EXPECT_TRUE(reparsed.ok()) << (*parsed)->ToString();
     }
   }
 }

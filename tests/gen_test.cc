@@ -177,7 +177,8 @@ std::vector<Topic> MakeGroupedTopics() {
   std::vector<Topic> topics;
   for (int i = 0; i < 12; ++i) {
     Topic t;
-    t.name = "t" + std::to_string(i);
+    t.name = "t";
+    t.name += std::to_string(i);
     t.keywords = {"kw" + std::to_string(i)};
     t.group = i / 4;  // 3 groups of 4
     topics.push_back(t);

@@ -344,8 +344,11 @@ TEST(ServeServerTest, FeedReproducesDirectReplayEmissions) {
   int i = 0;
   const uint32_t chunks[] = {1, 7, 64, 13, 100000};
   while (cursor < static_cast<PostId>(inst.num_posts())) {
-    ServeRequest req = MustParse("f" + std::to_string(i) + " feed posts=" +
-                                 std::to_string(chunks[i % 5]));
+    std::string line = "f";
+    line += std::to_string(i);
+    line += " feed posts=";
+    line += std::to_string(chunks[i % 5]);
+    ServeRequest req = MustParse(line);
     ++i;
     const ServeResponse r = server->Call(req);
     ASSERT_EQ(r.outcome, ServeOutcome::kOk) << r.Format();
@@ -399,13 +402,18 @@ TEST(ServeServerTest, DeterministicOverloadShedsBatchNotStream) {
   // Burst 20 solves into a 2-deep lane served at >= 20ms each: the
   // burst outruns the worker by construction, so most are shed.
   for (int i = 0; i < 20; ++i) {
-    server->Submit(MustParse("b" + std::to_string(i) + " solve"), record);
+    std::string line = "b";
+    line += std::to_string(i);
+    line += " solve";
+    server->Submit(MustParse(line), record);
   }
   // Stream feeds ride their own lane and must all be admitted even
   // while the batch lane is saturated.
   for (int i = 0; i < 10; ++i) {
-    server->Submit(MustParse("s" + std::to_string(i) + " feed posts=1"),
-                   record);
+    std::string line = "s";
+    line += std::to_string(i);
+    line += " feed posts=1";
+    server->Submit(MustParse(line), record);
   }
   // Let the admitted work finish so the drain sweep has nothing to
   // shed — every shed observed is then an admission-time queue_full.
@@ -468,7 +476,10 @@ TEST(ServeServerTest, DrainShedsQueuedAnswersEverythingExactlyOnce) {
   std::mutex mu;
   std::map<std::string, std::vector<ServeOutcome>> responses;
   for (int i = 0; i < 10; ++i) {
-    server->Submit(MustParse("q" + std::to_string(i) + " solve"),
+    std::string line = "q";
+    line += std::to_string(i);
+    line += " solve";
+    server->Submit(MustParse(line),
                    [&, i](const ServeResponse& r) {
                      std::lock_guard<std::mutex> lock(mu);
                      responses[r.id].push_back(r.outcome);
@@ -626,10 +637,12 @@ TEST(ServeChaosTest, FaultedSubmitAndWorkerNeverLoseOrDuplicateResponses) {
     for (int t = 0; t < 4; ++t) {
       clients.emplace_back([&, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          const std::string id =
-              "c" + std::to_string(t) + "-" + std::to_string(i);
-          const char* verb = i % 3 == 0 ? " feed posts=1" : " solve";
-          server->Submit(MustParse(id + verb), record);
+          std::string line = "c";
+          line += std::to_string(t);
+          line += '-';
+          line += std::to_string(i);
+          line += i % 3 == 0 ? " feed posts=1" : " solve";
+          server->Submit(MustParse(line), record);
         }
       });
     }

@@ -8,10 +8,10 @@
 #include "core/coverage.h"
 #include "core/types.h"
 #include "gen/instance_gen.h"
-#include "stream/reference.h"
 #include "stream/replay.h"
 #include "stream/stream_greedy.h"
 #include "stream/stream_scan.h"
+#include "stream_reference.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 

@@ -140,7 +140,7 @@ void DefineFaultFlags(FlagParser* flags) {
   flags->Define("faults", "",
                 "arm fault injection, comma-separated "
                 "site:prob[:latency_ms][:throw] entries (sites: "
-                "io.read_instance, io.write_checkpoint, index.load, "
+                "io.read_instance, io.write_checkpoint, "
                 "pool.task, stream.replay, tenant.fanout, tenant.evict, "
                 "serve.accept, serve.queue, serve.worker)");
   flags->Define("fault-seed", "0",
