@@ -144,15 +144,13 @@ struct TenantMetrics {
   Counter* evictions;          // mqd_tenant_evictions_total
   Counter* restores;           // mqd_tenant_restores_total
   Counter* quarantines;        // mqd_tenant_quarantined_total
-  // Parallel cluster sweep + near-identical clustering (DESIGN.md
-  // §16): sweeps/shards count dispatches through the thread pool,
-  // shard_seconds samples one per-shard latency per sweep, and the
-  // residual counters track the fire-log mask-filter corrections that
-  // near-identical representative sharing pays at derive time.
+  // Parallel cluster sweep (DESIGN.md §16): sweeps/shards count
+  // dispatches through the thread pool, shard_seconds samples one
+  // per-shard latency per sweep. The residual counters track the
+  // fire-log mask-filter corrections that shared-tier reads pay for
+  // tenants narrower than the full-universe engine.
   Counter* parallel_sweeps;    // mqd_tenant_parallel_sweeps_total
   Counter* parallel_shards;    // mqd_tenant_parallel_shards_total
-  Counter* near_attaches;      // mqd_tenant_near_identical_attaches_total
-  Counter* rep_grows;          // mqd_tenant_rep_grows_total
   Counter* residual_corrections;  // mqd_tenant_residual_corrections_total
   Counter* residual_filtered;  // mqd_tenant_residual_filtered_fires_total
   LatencyHistogram* shard_seconds;  // mqd_tenant_shard_seconds

@@ -40,12 +40,16 @@ bool RequestQueue::PopBlocking(QueuedRequest* out, ServeLane* lane) {
 }
 
 void RequestQueue::StreamServiceDone() {
+  bool stream_waiting;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stream_in_service_ = false;
+    stream_waiting = !stream_.empty();
   }
-  // The next queued stream request (if any) is now eligible.
-  cv_.notify_all();
+  // The next queued stream request is now eligible; one worker takes
+  // it. With none queued there is nothing new to pop, and the caller
+  // goes straight back to PopBlocking itself.
+  if (stream_waiting) cv_.notify_one();
 }
 
 void RequestQueue::Close() {

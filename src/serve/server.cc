@@ -405,13 +405,10 @@ ServeResponse Server::DoEmissions(const ServeRequest& req) {
           Status::InvalidArgument("emissions requires tenant=<id> in "
                                   "tenant mode"));
     }
-    Result<std::vector<Emission>> emissions =
-        tenants_->TenantEmissions(req.tenant);
-    if (!emissions.ok()) {
-      return ServeResponse::Error(req.id, emissions.status());
-    }
+    Result<size_t> emitted = tenants_->TenantEmissionCount(req.tenant);
+    if (!emitted.ok()) return ServeResponse::Error(req.id, emitted.status());
     AppendKv(&body, "tenant", req.tenant);
-    AppendKv(&body, "emitted", emissions->size());
+    AppendKv(&body, "emitted", *emitted);
     return ServeResponse::Ok(req.id, std::move(body));
   }
   AppendKv(&body, "emitted", processor_->emissions().size());

@@ -3,17 +3,22 @@
 # and asserts on both the per-request response lines (stdout) and the
 # final "serve done:" summary (stderr).
 #
-# Two modes:
+# Three modes:
 #   nominal  - default queue caps, no service floor: every request
 #              must complete, zero sheds on either lane.
 #   overload - one worker, batch queue cap 2, 20 ms service floor,
 #              a 30-solve burst: the batch lane must shed (queue_full
 #              with a retry-after hint) while the stream lane and the
 #              final drain still answer cleanly.
+#   tenant   - plain StreamScan in tenant mode: one epoch-0 subscriber
+#              (shared tier), then three subscribers at one mid-stream
+#              cursor, two with identical masks and one superset
+#              (exact clusters). Every line must be ok, nothing shed,
+#              and the identical masks must report equal emitted=.
 #
 # Usage:
 #   cmake -DCLI=<path/to/mqd_cli> -DINSTANCE=<instance.mqdp>
-#         -DMODE=<nominal|overload> -DWORK=<scratch-dir>
+#         -DMODE=<nominal|overload|tenant> -DWORK=<scratch-dir>
 #         -P cli_serve_check.cmake
 cmake_minimum_required(VERSION 3.20)
 
@@ -48,6 +53,20 @@ elseif(MODE STREQUAL "overload")
   file(WRITE "${script}" "${lines}")
   set(cmd "${CLI}" serve "${INSTANCE}" --workers 1 --queue-cap 2
       --service-floor-ms 20)
+elseif(MODE STREQUAL "tenant")
+  # Stream-lane requests run one at a time in FIFO order, so tenant
+  # ids are minted in subscribe order: a0 -> 0, a1 -> 1, ...
+  set(lines "a0 subscribe mask=3\nf1 feed posts=8\nf2 feed posts=8\n")
+  string(APPEND lines "a1 subscribe mask=1\na2 subscribe mask=1\n")
+  string(APPEND lines "a3 subscribe mask=3\n")
+  string(APPEND lines "f3 feed posts=16\nf4 feed posts=16\n")
+  foreach(t RANGE 0 3)
+    string(APPEND lines "e${t} emissions tenant=${t}\n")
+  endforeach()
+  string(APPEND lines "u1 unsubscribe tenant=1\nd1 drain\n")
+  file(WRITE "${script}" "${lines}")
+  set(cmd "${CLI}" serve "${INSTANCE}" --algorithm stream-scan
+      --tenant-mode --max-tenants 8)
 else()
   message(FATAL_ERROR "unknown MODE '${MODE}'")
 endif()
@@ -73,7 +92,35 @@ if(NOT stream_shed EQUAL 0)
       "${stdout}\n${stderr}")
 endif()
 
-if(MODE STREQUAL "nominal")
+if(MODE STREQUAL "tenant")
+  if(NOT batch_shed EQUAL 0)
+    message(FATAL_ERROR "tenant mode shed ${batch_shed} batch request(s)")
+  endif()
+  string(STRIP "${stdout}" trimmed)
+  string(REPLACE "\n" ";" response_lines "${trimmed}")
+  list(LENGTH response_lines answered)
+  if(NOT answered EQUAL 14)
+    message(FATAL_ERROR "want 14 response lines, got ${answered}:\n${stdout}")
+  endif()
+  foreach(line IN LISTS response_lines)
+    if(NOT line MATCHES "^[a-z0-9]+ ok")
+      message(FATAL_ERROR "non-ok response '${line}':\n${stdout}")
+    endif()
+  endforeach()
+  foreach(t RANGE 0 3)
+    if(NOT stdout MATCHES "a${t} ok tenant=${t}")
+      message(FATAL_ERROR "subscribe a${t} did not mint tenant ${t}:\n${stdout}")
+    endif()
+    if(NOT stdout MATCHES "e${t} ok tenant=${t} emitted=([0-9]+)")
+      message(FATAL_ERROR "no emission count for tenant ${t}:\n${stdout}")
+    endif()
+    set(emitted_${t} ${CMAKE_MATCH_1})
+  endforeach()
+  if(emitted_1 EQUAL 0 OR NOT emitted_1 EQUAL emitted_2)
+    message(FATAL_ERROR "identical masks emitted ${emitted_1} vs "
+            "${emitted_2}:\n${stdout}")
+  endif()
+elseif(MODE STREQUAL "nominal")
   if(NOT batch_shed EQUAL 0)
     message(FATAL_ERROR
         "nominal load shed ${batch_shed} batch request(s):\n${stdout}")

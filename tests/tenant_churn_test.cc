@@ -11,6 +11,7 @@
 #include "core/instance.h"
 #include "core/types.h"
 #include "gen/instance_gen.h"
+#include "stream/checkpoint.h"
 #include "stream/factory.h"
 #include "stream/multi_tenant.h"
 #include "stream/replay.h"
@@ -86,6 +87,49 @@ void ExpectEmissionsEqual(const std::vector<Emission>& got,
         << context << " emission " << i;
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+/// A tenant envelope laid out as EvictTenant writes it (magic, body,
+/// checksum of the body) with any tier byte and optional payload, so
+/// fail-closed checks get past the checksum to the tier dispatch.
+std::string TenantEnvelope(StreamKind kind, double tau, const Instance& inst,
+                           LabelMask mask, PostId join, PostId cursor,
+                           uint8_t tier, const std::string* payload) {
+  SnapshotWriter body;
+  body.U32(1);  // format version
+  body.U8(static_cast<uint8_t>(kind));
+  body.F64(tau);
+  body.U64(InstanceFingerprint(inst));
+  body.U64(mask);
+  body.U32(join);
+  body.U32(cursor);
+  body.U8(tier);
+  if (payload != nullptr) body.Str(*payload);
+  std::string out = "MQDTNT01";
+  out += body.bytes();
+  const uint64_t checksum = SnapshotChecksum(body.bytes());
+  out.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return out;
+}
+
+/// The stream checkpoint of a `kind` processor over the tenant view of
+/// (mask, join), fed every view post with global id < `cursor`.
+std::string ViewCheckpoint(const Instance& inst, const CoverageModel& model,
+                           LabelMask mask, PostId join, PostId cursor,
+                           StreamKind kind, double tau) {
+  auto view = BuildTenantView(inst, model, mask, join);
+  EXPECT_TRUE(view.ok());
+  auto proc = CreateStreamProcessor(kind, view->sub, *view->model, tau);
+  PostId local = 0;
+  for (; local < view->sub.num_posts() &&
+         view->global_of_local[local] < cursor;
+       ++local) {
+    proc->AdvanceTo(view->sub.value(local));
+    proc->OnArrival(local);
+  }
+  std::ostringstream os;
+  EXPECT_TRUE(SaveStreamCheckpoint(*proc, local, os).ok());
+  return os.str();
 }
 
 const StreamKind kAllKinds[] = {
@@ -271,10 +315,11 @@ TEST(TenantChurnTest, EvictRestoreIsExact) {
   }
 }
 
-/// Corrupt-snapshot fuzz, riding the PR 5 harness pattern: random
-/// truncations and bit flips must every one be rejected with a typed
-/// error, leave the engine's registry untouched, and not prevent the
-/// intact snapshot from restoring afterwards.
+/// Corrupt-snapshot fuzz: random truncations and bit flips, and
+/// checksum-valid envelopes with an unknown tier byte or an embedded
+/// checkpoint of another algorithm, must every one be rejected with a
+/// typed error, leave the engine's registry untouched, and not prevent
+/// the intact snapshot from restoring afterwards.
 TEST(TenantChurnTest, CorruptSnapshotsAreRejected) {
   const double tau = 2.0;
   const double lambda = 6.0;
@@ -285,11 +330,43 @@ TEST(TenantChurnTest, CorruptSnapshotsAreRejected) {
       inst, model, StreamKind::kStreamGreedyPlus, tau);
   ASSERT_TRUE(engine.ok());
   const TenantId tenant = *(*engine)->Subscribe(mask);
-  ASSERT_TRUE((*engine)->RunUntil(inst.num_posts() / 2).ok());
+  const PostId evict_at = static_cast<PostId>(inst.num_posts() / 2);
+  ASSERT_TRUE((*engine)->RunUntil(evict_at).ok());
   std::ostringstream snapshot;
   ASSERT_TRUE((*engine)->EvictTenant(tenant, snapshot).ok());
   const std::string good = snapshot.str();
   const size_t active_before = (*engine)->active_tenants();
+
+  // Crafted envelopes: the layout reproduces the real snapshot byte for
+  // byte, so each rejection below comes from the tier or payload alone.
+  const std::string same_algo =
+      ViewCheckpoint(inst, model, mask, 0, evict_at,
+                     StreamKind::kStreamGreedyPlus, tau);
+  ASSERT_EQ(TenantEnvelope(StreamKind::kStreamGreedyPlus, tau, inst, mask,
+                           0, evict_at, 1, &same_algo),
+            good);
+  const std::string other_algo = ViewCheckpoint(
+      inst, model, mask, 0, evict_at, StreamKind::kStreamGreedy, tau);
+  const struct {
+    const char* what;
+    uint8_t tier;
+    const std::string* payload;
+  } crafted[] = {{"tier 2 (no such tier)", 2, nullptr},
+                 {"tier 7", 7, nullptr},
+                 {"cluster tier, other algorithm's checkpoint", 1,
+                  &other_algo}};
+  for (const auto& c : crafted) {
+    std::istringstream in(TenantEnvelope(StreamKind::kStreamGreedyPlus, tau,
+                                         inst, mask, 0, evict_at, c.tier,
+                                         c.payload));
+    auto restored = (*engine)->RestoreTenant(in);
+    ASSERT_FALSE(restored.ok()) << c.what;
+    const StatusCode code = restored.status().code();
+    EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                code == StatusCode::kFailedPrecondition)
+        << c.what << ": " << restored.status().ToString();
+    EXPECT_EQ((*engine)->active_tenants(), active_before) << c.what;
+  }
 
   Rng rng(99);
   for (int round = 0; round < 200; ++round) {
@@ -403,14 +480,12 @@ TEST(TenantChurnTest, EngineGuards) {
       << "queries stay valid after Finish";
 }
 
-/// Mid-stream plain-scan tenants live in scan clusters whose snapshots
-/// are header-only (the fire-log replay is deterministic from
-/// (mask, join)). Evict/restore through that tier must be exact on
-/// both sides of the cluster lifecycle: sole member (evict destroys
-/// the representative, restore rebuilds and replays it) and shared
-/// member (a near-identical twin keeps the widened representative
-/// alive, restore re-attaches within slack and derives through the
-/// residual correction).
+/// Mid-stream plain-scan tenants live in exact (mask, join) clusters
+/// and evict through the cluster tier with an embedded StreamScan
+/// checkpoint. Evict/restore must be exact with the tenant alone and
+/// beside a same-cursor twin of a wider mask (its own cluster, which
+/// must stay exact through the victim's evict and restore). A
+/// checksum-valid header-only envelope with tier byte 2 is refused.
 TEST(TenantChurnTest, ScanClusterEvictRestoreIsExact) {
   const double tau = 3.0;
   const double lambda = 7.0;
@@ -445,18 +520,22 @@ TEST(TenantChurnTest, ScanClusterEvictRestoreIsExact) {
         auto t = (*engine)->Subscribe(twin_mask);
         ASSERT_TRUE(t.ok()) << context;
         twin = *t;
-        // The twin widened the shared representative in place.
-        EXPECT_GT((*engine)->rep_grows(), 0u) << context;
-        EXPECT_EQ((*engine)->num_clusters(), 1u) << context;
+        EXPECT_EQ((*engine)->num_clusters(), 2u) << context;
       }
       ASSERT_TRUE((*engine)->RunUntil(evict_at).ok());
       std::ostringstream snapshot;
       ASSERT_TRUE((*engine)->EvictTenant(*victim, snapshot).ok()) << context;
-      if (!with_twin) {
-        EXPECT_EQ((*engine)->num_clusters(), 0u)
-            << context << ": sole member's cluster must die with it";
-      }
+      EXPECT_EQ((*engine)->num_clusters(), with_twin ? 1u : 0u)
+          << context << ": the victim's cluster must die with it";
       ASSERT_TRUE((*engine)->RunUntil(restore_at).ok());
+      const size_t active_before = (*engine)->active_tenants();
+      std::istringstream header_only(
+          TenantEnvelope(StreamKind::kStreamScan, tau, inst, mask, join,
+                         evict_at, 2, nullptr));
+      auto refused = (*engine)->RestoreTenant(header_only);
+      EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+          << context << ": " << refused.status().ToString();
+      EXPECT_EQ((*engine)->active_tenants(), active_before) << context;
       std::istringstream in(snapshot.str());
       auto restored = (*engine)->RestoreTenant(in);
       ASSERT_TRUE(restored.ok()) << context << ": "

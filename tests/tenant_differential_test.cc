@@ -122,6 +122,11 @@ size_t ExpectTenantMatchesSingleTenant(
   const auto& got = *tenant_emissions;
   const auto& solo_emissions = solo_proc->emissions();
   EXPECT_EQ(got.size(), solo_emissions.size()) << context;
+  auto count = engine.TenantEmissionCount(tenant);
+  EXPECT_TRUE(count.ok()) << context;
+  if (count.ok()) {
+    EXPECT_EQ(*count, got.size()) << context;
+  }
   const size_t n = std::min(got.size(), solo_emissions.size());
   for (size_t i = 0; i < n; ++i) {
     const PostId solo_global = solo.global_of_local[solo_emissions[i].post];
@@ -233,6 +238,16 @@ size_t RunBattery(StreamKind kind, size_t* engines_with_sharing) {
               lambda, use_variable ? &table : nullptr, lambda,
               context + " tenant=" + std::to_string(i));
           if (::testing::Test::HasFailure()) return compared;
+        }
+        if (kind == StreamKind::kStreamScan) {
+          // Every profile is narrower than the full-universe engine,
+          // so each of the three reads per tenant above (emissions,
+          // count, cover) was a residual correction.
+          EXPECT_EQ((*engine)->residual_corrections(), 3 * profiles.size())
+              << context;
+          EXPECT_GT((*engine)->residual_filtered_fires(), 0u) << context;
+        } else {
+          EXPECT_EQ((*engine)->residual_corrections(), 0u) << context;
         }
       }
     }
@@ -462,17 +477,15 @@ TEST(TenantParallelSweepTest, PooledSweepBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Near-identical profile clustering: plain-scan mid-stream joiners
-// within `cluster_slack` labels of each other share one superset
-// representative, and the residual correction recovers each tenant's
-// private sequence exactly.
+// Same-cursor joiners: plain-scan tenants that join mid-stream at one
+// cursor, with overlapping and duplicate masks, each take the exact
+// (mask, join) cluster of their own mask and equal their replicas.
 // ---------------------------------------------------------------------------
 
 /// Base masks plus one-label neighbors (one label added, one removed)
-/// for each — every neighbor is within slack 1 of its base, so the
-/// default slack must fold each family onto a shared representative.
-std::vector<LabelMask> NearIdenticalProfiles(int num_labels,
-                                             uint64_t seed) {
+/// and a duplicate for each: neighbors overlap their base on all but
+/// one label, duplicates share their base's cluster.
+std::vector<LabelMask> SameCursorProfiles(int num_labels, uint64_t seed) {
   Rng rng(seed * 913 + 3);
   auto bases = GenerateLabelMaskProfiles(num_labels, 3, 6, &rng);
   EXPECT_TRUE(bases.ok());
@@ -497,7 +510,7 @@ std::vector<LabelMask> NearIdenticalProfiles(int num_labels,
   return profiles;
 }
 
-TEST(TenantNearIdenticalTest, SlackSharingIsExactAndReal) {
+TEST(TenantSameCursorTest, SameCursorJoinersAreExact) {
   InstanceGenConfig cfg;
   cfg.num_labels = 12;
   cfg.duration = 700.0;
@@ -515,7 +528,7 @@ TEST(TenantNearIdenticalTest, SlackSharingIsExactAndReal) {
   VariableLambda variable(table, lambda);
 
   const std::vector<LabelMask> profiles =
-      NearIdenticalProfiles(cfg.num_labels, 1);
+      SameCursorProfiles(cfg.num_labels, 1);
   const size_t distinct =
       std::set<LabelMask>(profiles.begin(), profiles.end()).size();
   ASSERT_GE(distinct, 10u);
@@ -524,64 +537,43 @@ TEST(TenantNearIdenticalTest, SlackSharingIsExactAndReal) {
     const CoverageModel& model =
         use_variable ? static_cast<const CoverageModel&>(variable)
                      : static_cast<const CoverageModel&>(uniform);
-    for (const int slack : {4, 0}) {
-      const std::string context =
-          std::string(use_variable ? "variable" : "uniform") +
-          " slack=" + std::to_string(slack);
-      auto engine = MultiTenantStream::Create(*inst, model,
-                                              StreamKind::kStreamScan, tau);
-      ASSERT_TRUE(engine.ok());
-      (*engine)->set_cluster_slack(slack);
-      ASSERT_TRUE((*engine)->RunUntil(cut).ok());
-      std::vector<TenantId> ids;
-      for (LabelMask mask : profiles) {
-        auto id = (*engine)->Subscribe(mask);
-        ASSERT_TRUE(id.ok()) << context;
-        ids.push_back(*id);
-      }
-      // Continue in windows so the representatives advance live, then
-      // flush the remaining deadlines.
-      PostId cursor = cut;
-      const PostId n = static_cast<PostId>(inst->num_posts());
-      while (cursor < n) {
-        cursor = std::min<PostId>(n, cursor + 89);
-        ASSERT_TRUE((*engine)->RunUntil(cursor).ok()) << context;
-      }
-      (*engine)->Finish();
-
-      if (slack > 0) {
-        // Sharing must be real: fewer representatives than distinct
-        // masks, attaches absorbed, and at least one mask-widening
-        // rebuild (every base is subscribed before its superset).
-        EXPECT_LT((*engine)->num_clusters(), distinct) << context;
-        EXPECT_GT((*engine)->near_identical_attaches(), 0u) << context;
-        EXPECT_GT((*engine)->rep_grows(), 0u) << context;
-      } else {
-        // Slack 0 degenerates to exact (mask, join) clustering.
-        EXPECT_EQ((*engine)->num_clusters(), distinct) << context;
-        EXPECT_EQ((*engine)->near_identical_attaches(), 0u) << context;
-        EXPECT_EQ((*engine)->rep_grows(), 0u) << context;
-      }
-
-      size_t compared = 0;
-      for (size_t i = 0; i < profiles.size(); ++i) {
-        compared += ExpectTenantMatchesSingleTenant(
-            **engine, ids[i], *inst, profiles[i], /*join=*/cut,
-            StreamKind::kStreamScan, tau, lambda,
-            use_variable ? &table : nullptr, lambda,
-            context + " tenant=" + std::to_string(i));
-        if (::testing::Test::HasFailure()) return;
-      }
-      EXPECT_GT(compared, 0u) << context;
-      if (slack > 0) {
-        // Tenants narrower than their shared representative must have
-        // taken the residual-correction derive path.
-        EXPECT_GT((*engine)->residual_corrections(), 0u) << context;
-        EXPECT_GT((*engine)->residual_filtered_fires(), 0u) << context;
-      } else {
-        EXPECT_EQ((*engine)->residual_corrections(), 0u) << context;
-      }
+    const std::string context = use_variable ? "variable" : "uniform";
+    auto engine = MultiTenantStream::Create(*inst, model,
+                                            StreamKind::kStreamScan, tau);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->RunUntil(cut).ok());
+    std::vector<TenantId> ids;
+    for (LabelMask mask : profiles) {
+      auto id = (*engine)->Subscribe(mask);
+      ASSERT_TRUE(id.ok()) << context;
+      ids.push_back(*id);
     }
+    // One representative per distinct mask: duplicates share, and
+    // neighbors never fold onto a wider representative.
+    EXPECT_EQ((*engine)->num_clusters(), distinct) << context;
+    // Continue in windows so the representatives advance live, then
+    // flush the remaining deadlines.
+    PostId cursor = cut;
+    const PostId n = static_cast<PostId>(inst->num_posts());
+    while (cursor < n) {
+      cursor = std::min<PostId>(n, cursor + 89);
+      ASSERT_TRUE((*engine)->RunUntil(cursor).ok()) << context;
+    }
+    (*engine)->Finish();
+
+    size_t compared = 0;
+    for (size_t i = 0; i < profiles.size(); ++i) {
+      compared += ExpectTenantMatchesSingleTenant(
+          **engine, ids[i], *inst, profiles[i], /*join=*/cut,
+          StreamKind::kStreamScan, tau, lambda,
+          use_variable ? &table : nullptr, lambda,
+          context + " tenant=" + std::to_string(i));
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(compared, 0u) << context;
+    // Cluster reads are the representative's own sequence: no mask
+    // filter runs.
+    EXPECT_EQ((*engine)->residual_corrections(), 0u) << context;
   }
 }
 

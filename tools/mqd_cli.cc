@@ -557,9 +557,9 @@ int CmdServeStream(const std::vector<std::string>& args) {
   // run (the contract is per-tenant blast radius).
   size_t emitted = 0, degraded = 0;
   for (TenantId id : ids) {
-    auto emissions = engine->TenantEmissions(id);
-    if (emissions.ok()) {
-      emitted += emissions->size();
+    auto count = engine->TenantEmissionCount(id);
+    if (count.ok()) {
+      emitted += *count;
     } else {
       ++degraded;
     }
