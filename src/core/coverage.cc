@@ -14,7 +14,7 @@ VariableLambda::VariableLambda(std::vector<std::vector<DimValue>> reaches,
   MQD_CHECK(max_reach >= 0.0);
 }
 
-DimValue VariableLambda::Reach(const Instance& inst, PostId coverer,
+DimValue VariableLambda::Reach(const PostTable& inst, PostId coverer,
                                LabelId a) const {
   MQD_DCHECK(coverer < reaches_.size());
   const LabelMask mask = inst.labels(coverer);

@@ -24,7 +24,7 @@ class CoverageModel {
 
   /// The coverage radius of (coverer, a). Requires a in
   /// labels(coverer).
-  virtual DimValue Reach(const Instance& inst, PostId coverer,
+  virtual DimValue Reach(const PostTable& inst, PostId coverer,
                          LabelId a) const = 0;
 
   /// Upper bound on Reach over all (post, label) pairs; algorithms use
@@ -37,7 +37,7 @@ class CoverageModel {
 
   /// Convenience: does `coverer` cover a in `coveree`? Requires a in
   /// labels of both posts.
-  bool Covers(const Instance& inst, PostId coverer, LabelId a,
+  bool Covers(const PostTable& inst, PostId coverer, LabelId a,
               PostId coveree) const {
     return std::fabs(inst.value(coverer) - inst.value(coveree)) <=
            Reach(inst, coverer, a);
@@ -49,7 +49,7 @@ class UniformLambda final : public CoverageModel {
  public:
   explicit UniformLambda(DimValue lambda);
 
-  DimValue Reach(const Instance&, PostId, LabelId) const override {
+  DimValue Reach(const PostTable&, PostId, LabelId) const override {
     return lambda_;
   }
   DimValue MaxReach() const override { return lambda_; }
@@ -72,7 +72,7 @@ class VariableLambda final : public CoverageModel {
   VariableLambda(std::vector<std::vector<DimValue>> reaches,
                  DimValue max_reach);
 
-  DimValue Reach(const Instance& inst, PostId coverer,
+  DimValue Reach(const PostTable& inst, PostId coverer,
                  LabelId a) const override;
   DimValue MaxReach() const override { return max_reach_; }
 

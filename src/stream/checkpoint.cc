@@ -31,7 +31,7 @@ uint64_t SnapshotChecksum(std::string_view bytes, uint64_t seed) {
   return h;
 }
 
-uint64_t InstanceFingerprint(const Instance& inst) {
+uint64_t InstanceFingerprint(const PostTable& inst) {
   uint64_t h = 1469598103934665603ULL;
   for (PostId p = 0; p < inst.num_posts(); ++p) {
     uint64_t bits;
@@ -48,7 +48,7 @@ uint64_t InstanceFingerprint(const Instance& inst) {
 }
 
 Status StreamProcessor::RestoreEmissionLog(std::vector<Emission> emissions) {
-  std::vector<bool> flags(emitted_flag_.size(), false);
+  std::vector<bool> flags(inst_.num_posts(), false);
   for (const Emission& e : emissions) {
     if (e.post >= flags.size()) {
       return Status::InvalidArgument(
@@ -111,7 +111,7 @@ Status SaveStreamCheckpoint(const StreamProcessor& processor,
 }
 
 Result<PostId> RestoreStreamCheckpoint(StreamProcessor* processor,
-                                       const Instance& inst,
+                                       const PostTable& inst,
                                        std::istream& is) {
   auto* checkpointable = dynamic_cast<CheckpointableStream*>(processor);
   if (checkpointable == nullptr) {
@@ -260,7 +260,7 @@ Status WriteStreamCheckpointToFile(const StreamProcessor& processor,
 }
 
 Result<PostId> ReadStreamCheckpointFromFile(StreamProcessor* processor,
-                                            const Instance& inst,
+                                            const PostTable& inst,
                                             const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is.good()) {

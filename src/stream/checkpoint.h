@@ -142,11 +142,12 @@ class CheckpointableStream {
 uint64_t SnapshotChecksum(std::string_view bytes,
                           uint64_t seed = 1469598103934665603ULL);
 
-/// Fingerprint of the instance a snapshot was taken against — FNV-1a
+/// Fingerprint of the post table a snapshot was taken against — FNV-1a
 /// over every post's (value bits, label mask). Carried state indexes
 /// into the value-sorted post table, so resuming against a different
-/// table would silently emit the wrong posts.
-uint64_t InstanceFingerprint(const Instance& inst);
+/// table would silently emit the wrong posts. For an append-only table
+/// it covers the posts appended so far.
+uint64_t InstanceFingerprint(const PostTable& inst);
 
 /// Serializes `processor`'s full recovery state to `os`. `next_post`
 /// is the replay cursor: the first post NOT yet delivered via
@@ -169,7 +170,7 @@ Status SaveStreamCheckpoint(const StreamProcessor& processor,
 /// instance fingerprint before touching the processor; a processor
 /// handed a corrupt or mismatched snapshot is left untouched.
 Result<PostId> RestoreStreamCheckpoint(StreamProcessor* processor,
-                                       const Instance& inst,
+                                       const PostTable& inst,
                                        std::istream& is);
 
 /// SaveStreamCheckpoint to a file, atomically: the snapshot is
@@ -187,7 +188,7 @@ Status WriteStreamCheckpointToFile(const StreamProcessor& processor,
 /// mismatch detection (truncated or checksum-broken files are
 /// rejected with InvalidArgument and the processor is left untouched).
 Result<PostId> ReadStreamCheckpointFromFile(StreamProcessor* processor,
-                                            const Instance& inst,
+                                            const PostTable& inst,
                                             const std::string& path);
 
 }  // namespace mqd

@@ -27,7 +27,7 @@ std::string_view StreamKindName(StreamKind kind) {
 }
 
 std::unique_ptr<StreamProcessor> CreateStreamProcessor(
-    StreamKind kind, const Instance& inst, const CoverageModel& model,
+    StreamKind kind, const PostTable& inst, const CoverageModel& model,
     double tau) {
   switch (kind) {
     case StreamKind::kStreamScan:
@@ -50,7 +50,7 @@ std::unique_ptr<StreamProcessor> CreateStreamProcessor(
 }
 
 Result<std::unique_ptr<StreamProcessor>> CreateStreamProcessorChecked(
-    StreamKind kind, const Instance& inst, const CoverageModel& model,
+    StreamKind kind, const PostTable& inst, const CoverageModel& model,
     double tau) {
   if (std::isnan(tau) || tau < 0.0) {
     return Status::InvalidArgument(

@@ -23,7 +23,7 @@ std::string_view StreamKindName(StreamKind kind);
 /// Creates a fresh processor for one replay. `tau` is ignored by
 /// kInstant (it is identically 0 there).
 std::unique_ptr<StreamProcessor> CreateStreamProcessor(
-    StreamKind kind, const Instance& inst, const CoverageModel& model,
+    StreamKind kind, const PostTable& inst, const CoverageModel& model,
     double tau);
 
 /// CreateStreamProcessor with `tau` validated instead of MQD_CHECKed:
@@ -32,7 +32,7 @@ std::unique_ptr<StreamProcessor> CreateStreamProcessor(
 /// InvalidArgument rather than a process abort. tau = 0 is legal (the
 /// instant-output regime).
 Result<std::unique_ptr<StreamProcessor>> CreateStreamProcessorChecked(
-    StreamKind kind, const Instance& inst, const CoverageModel& model,
+    StreamKind kind, const PostTable& inst, const CoverageModel& model,
     double tau);
 
 }  // namespace mqd

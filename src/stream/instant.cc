@@ -2,7 +2,7 @@
 
 namespace mqd {
 
-InstantStreamProcessor::InstantStreamProcessor(const Instance& inst,
+InstantStreamProcessor::InstantStreamProcessor(const PostTable& inst,
                                                const CoverageModel& model)
     : StreamProcessor(inst, model),
       cache_(static_cast<size_t>(inst.num_labels()), kInvalidPost) {}

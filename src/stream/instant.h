@@ -14,7 +14,7 @@ namespace mqd {
 /// label it carries. Approximation 2s.
 class InstantStreamProcessor final : public StreamProcessor {
  public:
-  InstantStreamProcessor(const Instance& inst, const CoverageModel& model);
+  InstantStreamProcessor(const PostTable& inst, const CoverageModel& model);
 
   std::string_view name() const override { return "StreamInstant"; }
   void AdvanceTo(double) override {}

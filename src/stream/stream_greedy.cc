@@ -13,7 +13,7 @@ namespace {
 constexpr size_t kClean = std::numeric_limits<size_t>::max();
 }  // namespace
 
-StreamGreedyProcessor::StreamGreedyProcessor(const Instance& inst,
+StreamGreedyProcessor::StreamGreedyProcessor(const PostTable& inst,
                                              const CoverageModel& model,
                                              double tau, bool stop_at_anchor,
                                              Arena* arena)

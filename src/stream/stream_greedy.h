@@ -52,7 +52,7 @@ namespace mqd {
 class StreamGreedyProcessor final : public StreamProcessor,
                                     public CheckpointableStream {
  public:
-  StreamGreedyProcessor(const Instance& inst, const CoverageModel& model,
+  StreamGreedyProcessor(const PostTable& inst, const CoverageModel& model,
                         double tau, bool stop_at_anchor = false,
                         Arena* arena = nullptr);
 

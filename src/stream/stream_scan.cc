@@ -8,7 +8,7 @@
 
 namespace mqd {
 
-StreamScanProcessor::StreamScanProcessor(const Instance& inst,
+StreamScanProcessor::StreamScanProcessor(const PostTable& inst,
                                          const CoverageModel& model,
                                          double tau,
                                          bool cross_label_pruning)

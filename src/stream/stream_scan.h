@@ -44,7 +44,7 @@ namespace mqd {
 class StreamScanProcessor final : public StreamProcessor,
                                   public CheckpointableStream {
  public:
-  StreamScanProcessor(const Instance& inst, const CoverageModel& model,
+  StreamScanProcessor(const PostTable& inst, const CoverageModel& model,
                       double tau, bool cross_label_pruning = false);
 
   std::string_view name() const override {

@@ -41,12 +41,16 @@ inline constexpr double kTauSlack = 1e-9;
 ///    every internal deadline <= now, in deadline order;
 ///  * OnArrival(p) is called after AdvanceTo(value(p));
 ///  * Finish() fires all remaining deadlines (end of stream);
-///  * processors must only inspect posts that have arrived (the shared
-///    Instance carries the whole stream for convenience, but peeking
-///    at the future would falsify the evaluation).
+///  * processors must only inspect posts that have arrived. A replay
+///    over a whole Instance could peek at the future (which would
+///    falsify the evaluation), so this rests on the implementations;
+///    a multi-tenant cluster representative reads an
+///    AppendOnlyPostTable holding only the posts delivered to it, so
+///    there the table itself rules peeking out. The table may grow
+///    between calls; a processor must not cache its size.
 class StreamProcessor {
  public:
-  StreamProcessor(const Instance& inst, const CoverageModel& model)
+  StreamProcessor(const PostTable& inst, const CoverageModel& model)
       : inst_(inst), model_(model), emitted_flag_(inst.num_posts(), false) {}
   virtual ~StreamProcessor() = default;
 
@@ -68,7 +72,7 @@ class StreamProcessor {
 
   /// The stream's post table (used by checkpointing to fingerprint
   /// the instance a snapshot belongs to).
-  const Instance& instance() const { return inst_; }
+  const PostTable& instance() const { return inst_; }
 
   /// Replaces the emission log wholesale — the checkpoint-restore
   /// path, which hands a fresh processor the killed run's emissions
@@ -80,14 +84,16 @@ class StreamProcessor {
   /// Records an emission; a post already emitted (e.g. for another
   /// label) is not re-added (Z is a set).
   void Emit(PostId post, double time) {
+    // The flags grow with an append-only table.
+    if (post >= emitted_flag_.size()) {
+      emitted_flag_.resize(inst_.num_posts(), false);
+    }
     if (emitted_flag_[post]) return;
     emitted_flag_[post] = true;
     emissions_.push_back(Emission{post, time});
   }
 
-  bool AlreadyEmitted(PostId post) const { return emitted_flag_[post]; }
-
-  const Instance& inst_;
+  const PostTable& inst_;
   const CoverageModel& model_;
 
  private:

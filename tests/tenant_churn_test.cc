@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/coverage.h"
@@ -90,13 +91,15 @@ void ExpectEmissionsEqual(const std::vector<Emission>& got,
 }
 
 /// A tenant envelope laid out as EvictTenant writes it (magic, body,
-/// checksum of the body) with any tier byte and optional payload, so
-/// fail-closed checks get past the checksum to the tier dispatch.
+/// checksum of the body) with any tier byte, optional payload and
+/// format version, so fail-closed checks get past the checksum to the
+/// version and tier dispatch.
 std::string TenantEnvelope(StreamKind kind, double tau, const Instance& inst,
                            LabelMask mask, PostId join, PostId cursor,
-                           uint8_t tier, const std::string* payload) {
+                           uint8_t tier, const std::string* payload,
+                           uint32_t version = 2) {
   SnapshotWriter body;
-  body.U32(1);  // format version
+  body.U32(version);
   body.U8(static_cast<uint8_t>(kind));
   body.F64(tau);
   body.U64(InstanceFingerprint(inst));
@@ -113,16 +116,17 @@ std::string TenantEnvelope(StreamKind kind, double tau, const Instance& inst,
 }
 
 /// The stream checkpoint of a `kind` processor over the tenant view of
-/// (mask, join), fed every view post with global id < `cursor`.
+/// `mask` posts with global ids in [join, view_end), fed every view
+/// post with global id < `cursor`. EvictTenant's shape is view_end ==
+/// cursor: the view holds exactly the delivered posts.
 std::string ViewCheckpoint(const Instance& inst, const CoverageModel& model,
                            LabelMask mask, PostId join, PostId cursor,
-                           StreamKind kind, double tau) {
-  auto view = BuildTenantView(inst, model, mask, join);
+                           StreamKind kind, double tau, PostId view_end) {
+  auto view = BuildTenantView(inst, model, mask, join, view_end);
   EXPECT_TRUE(view.ok());
   auto proc = CreateStreamProcessor(kind, view->sub, *view->model, tau);
   PostId local = 0;
-  for (; local < view->sub.num_posts() &&
-         view->global_of_local[local] < cursor;
+  for (; local < view->sub.num_posts() && view->global_id(local) < cursor;
        ++local) {
     proc->AdvanceTo(view->sub.value(local));
     proc->OnArrival(local);
@@ -130,6 +134,34 @@ std::string ViewCheckpoint(const Instance& inst, const CoverageModel& model,
   std::ostringstream os;
   EXPECT_TRUE(SaveStreamCheckpoint(*proc, local, os).ok());
   return os.str();
+}
+
+/// The `num_posts` header field of the stream checkpoint embedded in a
+/// cluster-tier tenant envelope: the size of the table it was taken
+/// against.
+uint64_t EmbeddedCheckpointPosts(const std::string& envelope) {
+  // Envelope: magic, body (version, kind, tau, fingerprint, mask, join,
+  // cursor, tier, payload), checksum.
+  SnapshotReader body(std::string_view(envelope).substr(
+      8, envelope.size() - 8 - sizeof(uint64_t)));
+  body.U32();
+  body.U8();
+  body.F64();
+  body.U64();
+  body.U64();
+  body.U32();
+  body.U32();
+  EXPECT_EQ(body.U8(), 1) << "expected a cluster-tier envelope";
+  const std::string payload = body.Str();
+  EXPECT_TRUE(body.status().ok());
+  // Checkpoint: magic, body (version, algorithm, tau, num_posts, ...).
+  SnapshotReader inner(std::string_view(payload).substr(8));
+  inner.U32();
+  inner.Str();
+  inner.F64();
+  const uint64_t num_posts = inner.U64();
+  EXPECT_TRUE(inner.status().ok());
+  return num_posts;
 }
 
 const StreamKind kAllKinds[] = {
@@ -316,8 +348,10 @@ TEST(TenantChurnTest, EvictRestoreIsExact) {
 }
 
 /// Corrupt-snapshot fuzz: random truncations and bit flips, and
-/// checksum-valid envelopes with an unknown tier byte or an embedded
-/// checkpoint of another algorithm, must every one be rejected with a
+/// checksum-valid envelopes with an unknown tier byte, an embedded
+/// checkpoint of another algorithm, an old format version, or an
+/// embedded checkpoint over more posts than [join, evict cursor) (the
+/// version-1 shape), must every one be rejected with a
 /// typed error, leave the engine's registry untouched, and not prevent
 /// the intact snapshot from restoring afterwards.
 TEST(TenantChurnTest, CorruptSnapshotsAreRejected) {
@@ -341,24 +375,34 @@ TEST(TenantChurnTest, CorruptSnapshotsAreRejected) {
   // byte, so each rejection below comes from the tier or payload alone.
   const std::string same_algo =
       ViewCheckpoint(inst, model, mask, 0, evict_at,
-                     StreamKind::kStreamGreedyPlus, tau);
+                     StreamKind::kStreamGreedyPlus, tau, evict_at);
   ASSERT_EQ(TenantEnvelope(StreamKind::kStreamGreedyPlus, tau, inst, mask,
                            0, evict_at, 1, &same_algo),
             good);
-  const std::string other_algo = ViewCheckpoint(
-      inst, model, mask, 0, evict_at, StreamKind::kStreamGreedy, tau);
+  const std::string other_algo =
+      ViewCheckpoint(inst, model, mask, 0, evict_at,
+                     StreamKind::kStreamGreedy, tau, evict_at);
+  // Format version 1 embedded a checkpoint over the whole rest of the
+  // table; that shape must not restore under version 2 either.
+  const std::string whole_remainder = ViewCheckpoint(
+      inst, model, mask, 0, evict_at, StreamKind::kStreamGreedyPlus, tau,
+      static_cast<PostId>(inst.num_posts()));
+  ASSERT_NE(whole_remainder, same_algo);
   const struct {
     const char* what;
+    uint32_t version;
     uint8_t tier;
     const std::string* payload;
-  } crafted[] = {{"tier 2 (no such tier)", 2, nullptr},
-                 {"tier 7", 7, nullptr},
-                 {"cluster tier, other algorithm's checkpoint", 1,
-                  &other_algo}};
+  } crafted[] = {
+      {"tier 2 (no such tier)", 2, 2, nullptr},
+      {"tier 7", 2, 7, nullptr},
+      {"cluster tier, other algorithm's checkpoint", 2, 1, &other_algo},
+      {"format version 1", 1, 1, &same_algo},
+      {"checkpoint past the evict cursor", 2, 1, &whole_remainder}};
   for (const auto& c : crafted) {
     std::istringstream in(TenantEnvelope(StreamKind::kStreamGreedyPlus, tau,
                                          inst, mask, 0, evict_at, c.tier,
-                                         c.payload));
+                                         c.payload, c.version));
     auto restored = (*engine)->RestoreTenant(in);
     ASSERT_FALSE(restored.ok()) << c.what;
     const StatusCode code = restored.status().code();
@@ -443,6 +487,81 @@ TEST(TenantChurnTest, MismatchedRestoreTargetsAreRejected) {
   auto behind = MultiTenantStream::Create(
       inst, model, StreamKind::kStreamGreedy, tau);
   expect_rejected(behind->get(), "snapshot ahead of stream");
+}
+
+/// A mid-stream join must not peek: a cluster tenant's view holds
+/// exactly the posts delivered to it, so the checkpoint its eviction
+/// embeds covers the mask posts in [join, evict cursor) — counted here
+/// by a plain loop over the table — for every algorithm, including an
+/// empty interval, a join at the end of the table and a mask with no
+/// posts after the join. Each evicted tenant then restores, continues
+/// and finishes equal to its fresh replica.
+TEST(TenantChurnTest, JoinDoesNotPeekPastTheCursor) {
+  const double tau = 3.0;
+  const double lambda = 6.0;
+  // Label 7 stops appearing halfway through the stream.
+  const Instance full = TestInstance(12);
+  InstanceBuilder builder(full.num_labels());
+  for (PostId p = 0; p < full.num_posts(); ++p) {
+    LabelMask labels = full.labels(p);
+    if (p >= full.num_posts() / 2) labels &= ~MaskOf(7);
+    if (labels != 0) builder.Add(full.value(p), labels);
+  }
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok());
+  const Instance& inst = *built;
+  const PostId n = static_cast<PostId>(inst.num_posts());
+  PostId after_last7 = 0;
+  for (PostId p = 0; p < n; ++p) {
+    if (MaskHas(inst.labels(p), 7)) after_last7 = p + 1;
+  }
+  ASSERT_GT(after_last7, 0u);
+  ASSERT_LT(after_last7, n);
+  const LabelMask mask = MaskOf(1) | MaskOf(4);
+  const struct {
+    const char* what;
+    LabelMask mask;
+    PostId join;
+    PostId evict;
+  } cases[] = {
+      {"mid-stream", mask, n / 3, 2 * n / 3},
+      {"empty interval", mask, n / 2, n / 2},
+      {"join at the end of the table", mask, n, n},
+      {"no mask posts after the join", MaskOf(7), after_last7,
+       (after_last7 + n) / 2}};
+  for (StreamKind kind : kAllKinds) {
+    for (const auto& c : cases) {
+      const std::string context =
+          std::string(StreamKindName(kind)) + " " + c.what;
+      UniformLambda model(lambda);
+      auto engine = MultiTenantStream::Create(inst, model, kind, tau);
+      ASSERT_TRUE(engine.ok());
+      ASSERT_TRUE((*engine)->RunUntil(c.join).ok()) << context;
+      auto tenant = (*engine)->Subscribe(c.mask);
+      ASSERT_TRUE(tenant.ok()) << context;
+      ASSERT_TRUE((*engine)->RunUntil(c.evict).ok()) << context;
+      std::ostringstream snapshot;
+      ASSERT_TRUE((*engine)->EvictTenant(*tenant, snapshot).ok()) << context;
+
+      uint64_t delivered = 0;
+      for (PostId p = c.join; p < c.evict; ++p) {
+        if ((inst.labels(p) & c.mask) != 0) ++delivered;
+      }
+      EXPECT_EQ(EmbeddedCheckpointPosts(snapshot.str()), delivered)
+          << context;
+
+      ASSERT_TRUE((*engine)->RunUntil((c.evict + n) / 2).ok()) << context;
+      std::istringstream in(snapshot.str());
+      auto restored = (*engine)->RestoreTenant(in);
+      ASSERT_TRUE(restored.ok()) << context << ": "
+                                 << restored.status().ToString();
+      ASSERT_TRUE((*engine)->RunToEnd().ok()) << context;
+      ExpectEmissionsEqual(
+          *(*engine)->TenantEmissions(*restored),
+          RunSolo(inst, c.mask, c.join, kind, tau, lambda), context);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 /// Registry guard rails: invalid masks, dead ids, out-of-range replay
