@@ -119,6 +119,34 @@ TEST(InstanceTest, LabelPostsInRange) {
   EXPECT_EQ(inst.LabelPostsInRange(0, 1.0, 10.0).size(), 4u);
 }
 
+TEST(AppendOnlyPostTableTest, SelectsSourcePostsUnderALabelFilter) {
+  Instance inst = MakeInstance(3, {{1.0, MaskOf(0) | MaskOf(1)},
+                                   {2.0, MaskOf(2)},
+                                   {3.0, MaskOf(1) | MaskOf(2)},
+                                   {4.0, MaskOf(1)}});
+  AppendOnlyPostTable view(inst, MaskOf(1) | MaskOf(2));
+  EXPECT_EQ(view.num_posts(), 0u);
+  EXPECT_EQ(view.num_labels(), 3);
+  view.Append(0);
+  view.Append(2);
+  ASSERT_EQ(view.num_posts(), 2u);
+  EXPECT_EQ(view.source_id(0), 0u);
+  EXPECT_EQ(view.source_id(1), 2u);
+  EXPECT_EQ(view.value(1), 3.0);
+  // Labels outside the filter are dropped; label ids stay the source's.
+  EXPECT_EQ(view.labels(0), MaskOf(1));
+  EXPECT_EQ(view.labels(1), MaskOf(1) | MaskOf(2));
+  view.Append(3);
+  EXPECT_EQ(view.num_posts(), 3u);
+  EXPECT_EQ(view.value(2), 4.0);
+  // A table holding its own posts is its own source, read through the
+  // base class or directly.
+  const PostTable& base = inst;
+  EXPECT_EQ(base.source_id(3), 3u);
+  EXPECT_EQ(base.labels(0), MaskOf(0) | MaskOf(1));
+  EXPECT_EQ(base.value(3), inst.value(3));
+}
+
 TEST(InstanceTest, EmptyInstance) {
   InstanceBuilder b(2);
   auto inst = b.Build();
